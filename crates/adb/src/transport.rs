@@ -168,16 +168,6 @@ impl TransportEnd {
         }
     }
 
-    /// Bytes the peer has sent (delivered or in flight).
-    pub fn bytes_received_total(&self) -> u64 {
-        let s = self.shared.lock();
-        if self.is_a {
-            s.b_sent
-        } else {
-            s.a_sent
-        }
-    }
-
     /// Whether the pipe is up.
     pub fn is_connected(&self) -> bool {
         self.shared.lock().connected
@@ -218,8 +208,6 @@ mod tests {
         b.send(&[0u8; 7]).unwrap();
         assert_eq!(a.bytes_sent(), 150);
         assert_eq!(b.bytes_sent(), 7);
-        assert_eq!(a.bytes_received_total(), 7);
-        assert_eq!(b.bytes_received_total(), 150);
     }
 
     #[test]

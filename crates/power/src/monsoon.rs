@@ -322,7 +322,9 @@ impl Monsoon {
         duration_s: f64,
         rate_hz: f64,
     ) -> Result<SampleRun, MonsoonError> {
-        self.sample_run_inner(load, start, duration_s, rate_hz, true)
+        self.gated(start, duration_s, rate_hz, |m| {
+            m.sample_run_body(load, start, duration_s, rate_hz, true)
+        })
     }
 
     /// The retained per-sample reference path: evaluates the load at
@@ -336,17 +338,22 @@ impl Monsoon {
         duration_s: f64,
         rate_hz: f64,
     ) -> Result<SampleRun, MonsoonError> {
-        self.sample_run_inner(load, start, duration_s, rate_hz, false)
+        self.gated(start, duration_s, rate_hz, |m| {
+            m.sample_run_body(load, start, duration_s, rate_hz, false)
+        })
     }
 
-    fn sample_run_inner(
+    /// Power/vout gating, argument checks and the meter's field faults,
+    /// shared by every sampling path; then `body` runs the sampling
+    /// proper. A voltage-sag fault scales the bus voltage for the body
+    /// and the programmed value is restored on every exit path.
+    fn gated<R>(
         &mut self,
-        load: &dyn CurrentSource,
         start: SimTime,
         duration_s: f64,
         rate_hz: f64,
-        batched: bool,
-    ) -> Result<SampleRun, MonsoonError> {
+        body: impl FnOnce(&mut Self) -> Result<R, MonsoonError>,
+    ) -> Result<R, MonsoonError> {
         if !self.powered {
             return Err(MonsoonError::PoweredOff);
         }
@@ -389,14 +396,12 @@ impl Monsoon {
         {
             self.voltage_v = (nominal_v * 0.92).max(VOLTAGE_RANGE.0);
         }
-        let result = self.sample_run_body(load, start, duration_s, rate_hz, batched);
+        let result = body(self);
         self.voltage_v = nominal_v;
         result
     }
 
-    /// The sampling run proper, after power/fault gating. Split out so
-    /// a voltage-sag fault can scale the bus voltage around it and
-    /// restore the programmed value on every exit path.
+    /// The sampling run proper, after [`Self::gated`].
     fn sample_run_body(
         &mut self,
         load: &dyn CurrentSource,
@@ -463,50 +468,12 @@ impl Monsoon {
         rate_hz: f64,
         stream: &mut CheckpointStream,
     ) -> Result<SampleRun, MonsoonError> {
-        if !self.powered {
-            return Err(MonsoonError::PoweredOff);
-        }
-        if !self.vout_enabled {
-            return Err(MonsoonError::OutputDisabled);
-        }
-        assert!(duration_s > 0.0, "sampling duration must be positive");
-        assert!(
-            rate_hz > 0.0 && rate_hz <= MONSOON_RATE_HZ,
-            "rate 0..=5000 Hz"
-        );
-        // Same fault gating as the plain paths. A sag that held during
-        // the original attempt but not the resume shows up as a voltage
-        // plan mismatch — detected, not silently spliced.
-        if self
-            .faults
-            .check(&self.fault_site, FaultKind::MeterBrownout, start)
-        {
-            self.set_powered(false);
-            return Err(MonsoonError::PoweredOff);
-        }
-        if self
-            .faults
-            .check(&self.fault_site, FaultKind::OverCurrent, start)
-        {
-            self.telemetry.overcurrent_trips.inc();
-            self.telemetry
-                .registry
-                .event("power.overcurrent", format!("forced trip at {start}"));
-            return Err(MonsoonError::OverCurrent {
-                at: start,
-                current_ma: MAX_CONTINUOUS_MA,
-            });
-        }
-        let nominal_v = self.voltage_v;
-        if self
-            .faults
-            .check(&self.fault_site, FaultKind::VoltageSag, start)
-        {
-            self.voltage_v = (nominal_v * 0.92).max(VOLTAGE_RANGE.0);
-        }
-        let result = self.checkpointed_body(load, start, duration_s, rate_hz, stream);
-        self.voltage_v = nominal_v;
-        result
+        // A sag that held during the original attempt but not the resume
+        // shows up as a voltage plan mismatch — detected, not silently
+        // spliced.
+        self.gated(start, duration_s, rate_hz, |m| {
+            m.checkpointed_body(load, start, duration_s, rate_hz, stream)
+        })
     }
 
     fn checkpointed_body(
@@ -776,6 +743,16 @@ mod tests {
         assert_eq!(err, MonsoonError::OutputDisabled);
         m.enable_vout().unwrap();
         assert!(m.sample_run(&OpenCircuit, SimTime::ZERO, 0.01).is_ok());
+    }
+
+    #[test]
+    fn disabled_vout_refuses_to_sample() {
+        let mut m = powered_monsoon(1);
+        m.enable_vout().unwrap();
+        m.disable_vout();
+        assert!(!m.vout_enabled());
+        let err = m.sample_run(&OpenCircuit, SimTime::ZERO, 0.01).unwrap_err();
+        assert_eq!(err, MonsoonError::OutputDisabled);
     }
 
     #[test]

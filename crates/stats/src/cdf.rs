@@ -99,11 +99,6 @@ impl Cdf {
             })
             .collect()
     }
-
-    /// Sorted access to the underlying samples.
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! # batterylab-telemetry
 //!
-//! Platform-wide metrics and tracing for BatteryLab: sharded atomic
+//! Platform-wide metrics and tracing for BatteryLab: atomic
 //! [`Counter`]s, [`Gauge`]s, log2-bucketed [`Histogram`]s with
-//! percentile extraction, RAII [`SpanGuard`] timers, a bounded
-//! [`Journal`] of annotated events, and a [`Registry`] that snapshots
-//! everything into a serialisable [`Report`].
+//! percentile extraction, a bounded [`Journal`] of annotated events,
+//! and a [`Registry`] that snapshots everything into a serialisable
+//! [`Report`].
 //!
 //! Two properties drive the design:
 //!
@@ -29,5 +29,5 @@ mod registry;
 
 pub use clock::{Clock, FrozenClock, VirtualClock};
 pub use journal::{Event, Journal};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, SpanGuard, HISTOGRAM_BUCKETS};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{Registry, Report};

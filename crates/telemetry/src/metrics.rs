@@ -1,4 +1,4 @@
-//! Metric primitives: counters, gauges, histograms and span timers.
+//! Metric primitives: counters, gauges and histograms.
 //!
 //! All handles are cheap `Arc` clones of shared cores; the recording
 //! operations are single relaxed atomic RMWs so they are safe (and
@@ -9,44 +9,19 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::clock::Clock;
-
-/// Number of counter shards. A small power of two: enough to keep the
-/// handful of worker threads a vantage point runs off each other's
-/// cache lines without bloating snapshots.
-const COUNTER_SHARDS: usize = 8;
-
 /// Number of log2 histogram buckets; bucket `i > 0` covers values in
 /// `[2^(i-1), 2^i)` and bucket 0 covers exactly zero. The last bucket
 /// absorbs everything ≥ 2^62.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-thread_local! {
-    static SHARD: usize = {
-        use std::sync::atomic::AtomicUsize;
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS
-    };
-}
-
 // ---------------------------------------------------------------------------
 // Counter
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-pub(crate) struct CounterCore {
-    shards: [PaddedU64; COUNTER_SHARDS],
-}
-
-/// A monotonically-increasing event counter, sharded across cache
-/// lines so concurrent writers do not contend.
+/// A monotonically-increasing event counter.
 #[derive(Clone, Default)]
 pub struct Counter {
-    core: Arc<CounterCore>,
+    value: Arc<AtomicU64>,
 }
 
 impl Counter {
@@ -59,17 +34,12 @@ impl Counter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        let shard = SHARD.with(|s| *s);
-        self.core.shards[shard].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current total across all shards.
+    /// Current total.
     pub fn get(&self) -> u64 {
-        self.core
-            .shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -195,16 +165,6 @@ impl Histogram {
         self.core.count.load(Ordering::Relaxed)
     }
 
-    /// Start an RAII span: the elapsed virtual time between now and the
-    /// guard's drop is recorded as one sample, in microseconds.
-    pub fn time<'h>(&'h self, clock: &'h dyn Clock) -> SpanGuard<'h> {
-        SpanGuard {
-            histogram: self,
-            clock,
-            start: clock.now_micros(),
-        }
-    }
-
     /// Fold another histogram's samples into this one: bucket counts,
     /// count and sum add; min/max widen. `other` is left untouched, so a
     /// per-worker histogram can be merged into a fleet-wide one while the
@@ -296,29 +256,9 @@ impl HistogramSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Span timer
-// ---------------------------------------------------------------------------
-
-/// RAII timer: records elapsed virtual microseconds into its histogram
-/// when dropped.
-pub struct SpanGuard<'h> {
-    histogram: &'h Histogram,
-    clock: &'h dyn Clock,
-    start: u64,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let end = self.clock.now_micros();
-        self.histogram.record(end.saturating_sub(self.start));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::VirtualClock;
 
     #[test]
     fn counter_sums_across_handles() {
@@ -327,6 +267,22 @@ mod tests {
         c.inc();
         c2.add(41);
         assert_eq!(c.get(), 42);
+    }
+
+    #[test]
+    fn counter_sums_concurrent_writers() {
+        let c = Counter::default();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let c = c.clone();
+                scope.spawn(move || {
+                    for _ in 0..10_000 {
+                        c.inc();
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 40_000);
     }
 
     #[test]
@@ -385,19 +341,5 @@ mod tests {
         assert_eq!(snap.min, 0);
         assert_eq!(snap.percentile(0.99), 0);
         assert_eq!(snap.mean(), 0.0);
-    }
-
-    #[test]
-    fn span_records_virtual_elapsed() {
-        let clock = VirtualClock::new();
-        let h = Histogram::default();
-        clock.advance_to(1_000);
-        {
-            let _span = h.time(&clock);
-            clock.advance_to(1_250);
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 1);
-        assert_eq!(snap.sum, 250);
     }
 }

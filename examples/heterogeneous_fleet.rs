@@ -1,5 +1,5 @@
 //! The platform's §1 vision made concrete: heterogeneous devices at
-//! multiple vantage points, measured concurrently by the fleet executor.
+//! multiple vantage points, dispatched from the access server's one queue.
 //!
 //! Three nodes — a flagship, the paper's mid-ranger, a budget phone —
 //! each run the same Brave workload; the per-device energy differences
@@ -15,7 +15,7 @@ use batterylab::automation::Script;
 use batterylab::controller::{VantageConfig, VantagePoint};
 use batterylab::device::{AndroidDevice, DeviceSpec, PowerModel};
 use batterylab::net::LinkProfile;
-use batterylab::server::{ExperimentSpec, FleetExecutor, FleetJob, JobId};
+use batterylab::server::{BuildState, Constraints, ExperimentSpec, Payload, Scheduler};
 use batterylab::sim::SimRng;
 
 fn main() {
@@ -79,8 +79,9 @@ fn main() {
         nodes.insert(node_name.to_string(), vp);
     }
 
-    // One worker thread per node: the three workloads run concurrently.
-    let mut executor = FleetExecutor::start(nodes);
+    // One job per node, pinned by constraint; the scheduler places each
+    // on its node and runs the queue dry.
+    let mut scheduler = Scheduler::new();
     let script = Script::browser_workload(
         "com.brave.browser",
         &[
@@ -90,36 +91,35 @@ fn main() {
         ],
         4,
     );
-    for (i, (node_name, serial, _, _)) in fleet_spec.iter().enumerate() {
-        executor
-            .dispatch(
-                node_name,
-                FleetJob {
-                    id: JobId(i as u64 + 1),
-                    name: format!("brave-on-{serial}"),
-                    spec: ExperimentSpec::measured(serial, script.clone()),
-                },
-            )
-            .expect("node exists");
-    }
-
-    println!("dispatched 3 concurrent measured workloads across the fleet...\n");
-    println!("{:<14} {:>14} {:>12}", "node", "discharge mAh", "mean mA");
-    for _ in 0..3 {
-        let result = executor.next_result().expect("job completes");
-        let outcome = result.result.expect("job succeeds");
-        println!(
-            "{:<14} {:>14.3} {:>12.1}",
-            result.node,
-            outcome.summary["discharge_mah"].as_f64().unwrap_or(0.0),
-            outcome.summary["mean_ma"].as_f64().unwrap_or(0.0),
+    for (node_name, serial, _, _) in fleet_spec.iter() {
+        scheduler.submit(
+            &format!("brave-on-{serial}"),
+            "demo",
+            Constraints {
+                node: Some(node_name.to_string()),
+                ..Constraints::default()
+            },
+            Payload::Experiment(ExperimentSpec::measured(serial, script.clone())),
         );
     }
-    let (nodes, leftovers) = executor.shutdown();
-    assert!(leftovers.is_empty());
-    println!(
-        "\nfleet shut down cleanly; {} vantage points returned to the scheduler.",
-        nodes.len()
-    );
-    println!("same workload, three devices — the heterogeneity §1 argues only a shared platform can offer.");
+    let ran = scheduler.drain(&mut nodes);
+    assert_eq!(ran.len(), 3, "every node runs its job");
+
+    println!("ran 3 measured workloads across the fleet\n");
+    println!("{:<14} {:>14} {:>12}", "node", "discharge mAh", "mean mA");
+    for id in ran {
+        let build = scheduler.build(id).expect("build recorded");
+        assert_eq!(build.state, BuildState::Succeeded, "{}", build.name);
+        let summary = build
+            .summary
+            .as_ref()
+            .expect("succeeded builds carry a summary");
+        println!(
+            "{:<14} {:>14.3} {:>12.1}",
+            build.node.as_deref().unwrap_or("-"),
+            summary["discharge_mah"].as_f64().unwrap_or(0.0),
+            summary["mean_ma"].as_f64().unwrap_or(0.0),
+        );
+    }
+    println!("\nsame workload, three devices — the heterogeneity §1 argues only a shared platform can offer.");
 }

@@ -20,6 +20,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
 
+# The only multi-node example: one job per node through the scheduler's
+# single queue; asserts every node ran its job.
+cargo run --release -q -p batterylab --example heterogeneous_fleet
+
 # Golden determinism: the parallel harness must emit byte-identical
 # artifacts for any worker count (fig2 + fig3 at jobs=1 vs jobs=4,
 # including the merged platform_metrics.json).
