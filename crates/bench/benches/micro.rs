@@ -1,6 +1,7 @@
 //! Microbenches of the platform's hot paths: ADB wire framing, Monsoon
-//! sampling, relay switching and device-trace building. These are the
-//! costs a vantage point actually pays per measurement second.
+//! sampling, relay switching, device-trace building and the access
+//! server's WAL. These are the costs a vantage point actually pays per
+//! measurement second, and the server per job.
 //!
 //! The `*_instrumented` variants run the same work with telemetry bound
 //! to a shared registry. Budget: instrumentation must stay within 5 % of
@@ -12,6 +13,7 @@ use std::sync::Arc;
 
 use batterylab::adb::{AdbKey, AdbLink, MockServices, Packet, TransportKind};
 use batterylab::device::boot_j7_duo;
+use batterylab::durable::{crc32, Wal};
 use batterylab::power::{ConstantLoad, Monsoon, TraceLoad};
 use batterylab::relay::CircuitSwitch;
 use batterylab::sim::{SimDuration, SimRng, SimTime, StepSignal};
@@ -160,12 +162,38 @@ fn bench_device(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_durable(c: &mut Criterion) {
+    let mut group = c.benchmark_group("durable");
+    let block: Vec<u8> = (0..64 * 1024u32).map(|i| (i * 31 + 7) as u8).collect();
+    group.throughput(Throughput::Bytes(block.len() as u64));
+    group.bench_function("crc32_64k", |b| {
+        b.iter(|| black_box(crc32(black_box(&block))))
+    });
+    // The campaign workload's median `Completed` record.
+    let record = vec![b'x'; 58_563];
+    group.throughput(Throughput::Bytes(record.len() as u64));
+    group.bench_function("wal_append_58k", |b| {
+        // A fresh log every 64 appends keeps memory bounded.
+        let mut wal = Wal::new();
+        let mut appended = 0u32;
+        b.iter(|| {
+            if appended.is_multiple_of(64) {
+                wal = Wal::new();
+            }
+            appended += 1;
+            black_box(wal.append(&record))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_adb_framing,
     bench_monsoon,
     bench_sampling,
     bench_relay,
-    bench_device
+    bench_device,
+    bench_durable
 );
 criterion_main!(benches);

@@ -8,6 +8,8 @@
 //! trace the Monsoon later samples. Radio tail expiry splits segments so
 //! the trace is exact, not sampled.
 
+use std::fmt::Write as _;
+
 use batterylab_net::{Direction, LinkProfile, TransferModel};
 use batterylab_power::Battery;
 use batterylab_sim::{SimDuration, SimRng, SimTime, StepSignal};
@@ -50,7 +52,8 @@ pub struct DeviceSim {
     frame_change: StepSignal,
     battery: Battery,
     rng: SimRng,
-    logs: Vec<(SimTime, String, String)>,
+    /// The log buffer, rendered as `logcat -d` prints it.
+    logs: String,
     rx_bytes: u64,
     tx_bytes: u64,
     data_path: DataPath,
@@ -77,7 +80,7 @@ impl DeviceSim {
             frame_change: StepSignal::new(0.0),
             battery,
             rng,
-            logs: Vec::new(),
+            logs: String::new(),
             rx_bytes: 0,
             tx_bytes: 0,
             data_path: DataPath::WiFi,
@@ -312,18 +315,15 @@ impl DeviceSim {
         }
     }
 
-    /// Append a logcat line.
+    /// Append a logcat line, stamped with the current time.
     pub fn log(&mut self, tag: &str, msg: &str) {
-        self.logs.push((self.now, tag.to_string(), msg.to_string()));
+        writeln!(self.logs, "{:.3} I/{tag}: {msg}", self.now.as_secs_f64())
+            .expect("writing to a String cannot fail");
     }
 
-    /// Render the log buffer like `logcat -d`.
+    /// The log buffer as `logcat -d` prints it.
     pub fn logcat_dump(&self) -> String {
-        let mut out = String::new();
-        for (t, tag, msg) in &self.logs {
-            out.push_str(&format!("{:.3} I/{}: {}\n", t.as_secs_f64(), tag, msg));
-        }
-        out
+        self.logs.clone()
     }
 
     /// Clear the log buffer (`logcat -c`).
@@ -545,14 +545,21 @@ mod tests {
     #[test]
     fn logcat_round_trip() {
         let mut d = device(11);
+        let t0 = d.now().as_secs_f64();
         d.log("BatteryLab", "test started");
-        d.idle(SimDuration::from_secs(1));
+        d.idle(SimDuration::from_millis(1500));
+        let t1 = d.now().as_secs_f64();
         d.log("BatteryLab", "test finished");
-        let dump = d.logcat_dump();
-        assert!(dump.contains("test started"));
-        assert!(dump.contains("test finished"));
+        assert_eq!(
+            d.logcat_dump(),
+            format!("{t0:.3} I/BatteryLab: test started\n{t1:.3} I/BatteryLab: test finished\n")
+        );
         d.logcat_clear();
         assert!(d.logcat_dump().is_empty());
+        d.run_activity(SimDuration::from_millis(250), 0.2, 0.3);
+        let t2 = d.now().as_secs_f64();
+        d.log("am", "after clear");
+        assert_eq!(d.logcat_dump(), format!("{t2:.3} I/am: after clear\n"));
     }
 
     #[test]

@@ -98,11 +98,7 @@ impl Wal {
         if !inner.enabled {
             return None;
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        inner.disk.write(&frame);
+        let frame_len = write_frame(&mut inner.disk, payload);
         inner.disk.fsync();
         inner.records += 1;
         let index = inner.records;
@@ -110,7 +106,7 @@ impl Wal {
             c.inc();
         }
         if let Some(c) = &inner.telemetry.bytes {
-            c.add(frame.len() as u64);
+            c.add(frame_len as u64);
         }
         if let Some(c) = &inner.telemetry.fsyncs {
             c.inc();
@@ -123,14 +119,9 @@ impl Wal {
     /// torn-write tests; the production path always uses [`Wal::append`].
     pub fn append_unsynced(&self, payload: &[u8]) {
         let mut inner = self.lock();
-        if !inner.enabled {
-            return;
+        if inner.enabled {
+            write_frame(&mut inner.disk, payload);
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        inner.disk.write(&frame);
     }
 
     /// Simulate a power loss on the backing disk: the unsynced tail is
@@ -154,7 +145,7 @@ impl Wal {
     /// record payloads and the number of torn bytes discarded.
     pub fn replay(&self) -> (Vec<Vec<u8>>, usize) {
         let mut inner = self.lock();
-        let bytes = inner.disk.durable_bytes().to_vec();
+        let bytes = inner.disk.durable_bytes();
         let mut records = Vec::new();
         let mut offset = 0usize;
         while bytes.len() - offset >= FRAME_HEADER {
@@ -193,6 +184,17 @@ impl Wal {
         }
         out
     }
+}
+
+/// Frame `payload` as `[len][crc32][payload]` and write it to the
+/// disk's unsynced tail. Returns the frame length.
+fn write_frame(disk: &mut SimDisk, payload: &[u8]) -> usize {
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    disk.write(&frame);
+    frame.len()
 }
 
 #[cfg(test)]

@@ -170,11 +170,6 @@ impl Supervisor {
         }
     }
 
-    /// The retry policy in force.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
     /// Report `supervisor.*` metrics (node-scoped) into `registry`.
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.registry = registry.clone();

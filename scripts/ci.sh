@@ -24,6 +24,12 @@ cargo test -q
 # single queue; asserts every node ran its job.
 cargo run --release -q -p batterylab --example heterogeneous_fleet
 
+# Job-path golden values: WAL bytes and records, logcat artifact bytes,
+# ledger balance and a CRC over the replayed records of 200 measured
+# jobs, pinned so a speed-up that changes what a job produces fails
+# here instead of only in the benchmark's digest check.
+cargo test -q -p batterylab-tests --test job_path_golden
+
 # Golden determinism: the parallel harness must emit byte-identical
 # artifacts for any worker count (fig2 + fig3 at jobs=1 vs jobs=4,
 # including the merged platform_metrics.json).
