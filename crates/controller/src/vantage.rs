@@ -11,8 +11,8 @@ use batterylab_faults::{scoped_site, site, FaultInjector};
 use batterylab_mirror::{EncoderConfig, MirrorSession, SessionError};
 use batterylab_net::{LinkProfile, VpnClient, VpnError, VpnLocation};
 use batterylab_power::{
-    CheckpointStream, GapReport, Monsoon, MonsoonError, PowerSocket, SocketError, SocketState,
-    MONSOON_RATE_HZ,
+    CheckpointStream, GapReport, Monsoon, MonsoonError, PowerSocket, SampleRun, SocketError,
+    SocketState, MONSOON_RATE_HZ,
 };
 use batterylab_relay::{BoardError, ChannelRoute, CircuitSwitch, RelayBoard};
 use batterylab_sim::{SimDuration, SimRng, SimTime, TimeSeries};
@@ -112,7 +112,6 @@ impl VantageConfig {
 
 struct ActiveMeasurement {
     serial: String,
-    channel: usize,
     started: SimTime,
 }
 
@@ -462,7 +461,6 @@ impl VantagePoint {
             .event("controller.measurement_started", device_id);
         self.active = Some(ActiveMeasurement {
             serial: device_id.to_string(),
-            channel,
             started,
         });
         Ok(())
@@ -495,25 +493,7 @@ impl VantagePoint {
         let run =
             self.monsoon
                 .sample_run_at_rate(&meter_side, active.started, duration, rate_hz)?;
-        let _ = active.channel;
-        self.past_measurements
-            .push((active.serial.clone(), active.started, end));
-        self.telemetry.measurements_completed.inc();
-        self.telemetry
-            .measurement_us
-            .record((end - active.started).as_micros());
-        self.telemetry.registry.clock().advance_to(end.as_micros());
-        self.telemetry
-            .registry
-            .event("controller.measurement_completed", &active.serial);
-        Ok(MeasurementReport {
-            serial: active.serial,
-            voltage_v: run.voltage_v,
-            rate_hz,
-            samples: run.samples,
-            energy: run.energy,
-            window: (active.started, end),
-        })
+        Ok(self.complete_measurement(active, end, rate_hz, run))
     }
 
     /// As [`Self::stop_monitor_at_rate`] but crash-resumable: completed
@@ -566,6 +546,18 @@ impl VantagePoint {
             }
         };
         self.pi.clear_source("monsoon-poll");
+        Ok(self.complete_measurement(active, end, rate_hz, run))
+    }
+
+    /// Book a sampled measurement: record its polling window, count and
+    /// time it, advance the clock to its end and journal the completion.
+    fn complete_measurement(
+        &mut self,
+        active: ActiveMeasurement,
+        end: SimTime,
+        rate_hz: f64,
+        run: SampleRun,
+    ) -> MeasurementReport {
         self.past_measurements
             .push((active.serial.clone(), active.started, end));
         self.telemetry.measurements_completed.inc();
@@ -576,14 +568,14 @@ impl VantagePoint {
         self.telemetry
             .registry
             .event("controller.measurement_completed", &active.serial);
-        Ok(MeasurementReport {
+        MeasurementReport {
             serial: active.serial,
             voltage_v: run.voltage_v,
             rate_hz,
             samples: run.samples,
             energy: run.energy,
             window: (active.started, end),
-        })
+        }
     }
 
     /// Abort an active measurement without sampling (job failed mid-run).

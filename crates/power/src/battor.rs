@@ -141,9 +141,9 @@ impl BattOr {
             let t = SimTime::from_micros(start.as_micros() + i * period_us);
             // BattOr observes the battery rail at its own terminal voltage.
             let true_ma = load.current_ma(t, 3.85);
-            let cal = self.calibration;
-            let noisy = true_ma * cal.gain + cal.offset_ma + self.rng.normal(0.0, cal.noise_ma);
-            let ma = ((noisy / cal.lsb_ma).round() * cal.lsb_ma).max(0.0);
+            let ma = self
+                .calibration
+                .reading(true_ma, self.rng.standard_normal());
             samples.push(t, ma);
             energy.push(ma, 3.85);
             self.runtime_left_s -= 1.0 / BATTOR_RATE_HZ;
@@ -218,6 +218,39 @@ mod tests {
         b.recharge_and_wipe();
         assert_eq!(b.runtime_left_s(), BATTOR_RUNTIME_S);
         assert_eq!(b.buffer_left(), BATTOR_BUFFER_SAMPLES);
+    }
+
+    #[test]
+    fn seeded_log_is_pinned_bit_for_bit() {
+        // A noisy stepped load with boundaries off the 1 ms grid, cut
+        // short by a full flash. The sample bits, mAh bits and the
+        // truncation were recorded from a release build before BattOr
+        // shared the Monsoon's `Calibration::reading`, which must not
+        // move them in any build profile.
+        let mut trace = batterylab_sim::StepSignal::new(210.0);
+        trace.set(SimTime::from_micros(123_456), 480.5);
+        trace.set(SimTime::from_micros(401_999), 0.0);
+        trace.set(SimTime::from_micros(650_001), 95.25);
+        let load = crate::source::TraceLoad::new(trace, 4.0);
+        let mut b = battor(2019);
+        b.buffer_left = 900;
+        let log = b.log_run(&load, SimTime::from_micros(500), 1.0);
+        let digest = log.samples.values().iter().zip(log.samples.times()).fold(
+            0xcbf2_9ce4_8422_2325u64,
+            |h, (v, t)| {
+                let h = (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3);
+                (h ^ t.as_micros()).wrapping_mul(0x0100_0000_01b3)
+            },
+        );
+        assert_eq!(log.samples.len(), 900);
+        assert_eq!(digest, 0x5bf9_c1e9_b366_e6e3);
+        assert_eq!(log.energy.mah().to_bits(), 0x3fab_3d9c_e9c8_0ec9);
+        assert_eq!(log.samples.values()[0].to_bits(), 0x406b_3ccc_cccc_cccd);
+        assert_eq!(log.samples.values()[899].to_bits(), 0x4059_3999_9999_999a);
+        assert_eq!(
+            log.truncated,
+            Some(BattOrError::BufferFull { captured: 900 })
+        );
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! power socket (see [`crate::socket`]) — the paper keeps the meter off
 //! when idle "for safety reasons".
 
+use std::ops::Range;
+
 use batterylab_durable::{CheckpointStream, GapReport};
 use batterylab_faults::{FaultInjector, FaultKind};
 use batterylab_sim::{SimRng, SimTime, TimeSeries};
@@ -23,9 +25,8 @@ use crate::source::{CurrentSource, Segment};
 /// Native sampling rate of the Monsoon HV, Hz.
 pub const MONSOON_RATE_HZ: f64 = 5000.0;
 /// Samples generated per chunk in the sampling loop. Chunking amortises
-/// the per-sample telemetry counter RMW and the per-push ordering check
-/// into one operation per chunk; the scratch buffers are reused across
-/// chunks and runs.
+/// the telemetry counter RMW, the histogram update and the sink's
+/// ordered append into one operation per chunk.
 const SAMPLE_CHUNK: usize = 1024;
 /// Programmable output voltage range, volts.
 pub const VOLTAGE_RANGE: (f64, f64) = (0.8, 13.5);
@@ -108,9 +109,27 @@ impl Default for Calibration {
     }
 }
 
+impl Calibration {
+    /// The reading of a true draw of `true_ma` under the standard-normal
+    /// noise draw `z`: gain and offset error plus the noise floor, ADC
+    /// quantisation, then a clamp at zero — currents cannot read negative
+    /// on the HV's unidirectional main channel.
+    pub(crate) fn reading(&self, true_ma: f64, z: f64) -> f64 {
+        let noisy = true_ma * self.gain + self.offset_ma + self.noise_ma * z;
+        let quantised = (noisy / self.lsb_ma).round() * self.lsb_ma;
+        // Not `max(0.0)`: for a reading that quantises to -0.0 it may
+        // return either zero, and debug and release builds disagree.
+        if quantised > 0.0 {
+            quantised
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Pre-resolved telemetry handles. Bound once at construction so the
-/// 5 kHz sampling loop never touches the registry lock — each sample
-/// costs two relaxed atomic RMWs on top of the physics.
+/// 5 kHz sampling loop never touches the registry lock — each chunk
+/// costs one counter add and one histogram update on top of the physics.
 struct MonsoonTelemetry {
     registry: Registry,
     samples: Counter,
@@ -131,6 +150,15 @@ impl MonsoonTelemetry {
             registry: registry.clone(),
         }
     }
+
+    /// Count and journal a protection trip on a draw of `current_ma` at
+    /// `at`; returns the error the run aborts with.
+    fn overcurrent(&self, at: SimTime, current_ma: f64) -> MonsoonError {
+        self.overcurrent_trips.inc();
+        self.registry
+            .event("power.overcurrent", format!("{current_ma:.0} mA at {at}"));
+        MonsoonError::OverCurrent { at, current_ma }
+    }
 }
 
 /// The simulated instrument.
@@ -146,15 +174,6 @@ pub struct Monsoon {
     /// `fault_site` fire at the start of a sampling run.
     faults: FaultInjector,
     fault_site: String,
-    // Scratch for the chunked sampling loop, reused across chunks and
-    // runs (including decimated-rate runs) so steady-state sampling
-    // allocates nothing beyond the output series itself. Pre-reserved to
-    // SAMPLE_CHUNK at construction (and re-checked when telemetry is
-    // rebound) so the first chunk of a run never grows them.
-    chunk_times: Vec<SimTime>,
-    chunk_values: Vec<f64>,
-    chunk_noise: Vec<f64>,
-    chunk_ua: Vec<u64>,
 }
 
 impl Monsoon {
@@ -171,20 +190,7 @@ impl Monsoon {
             telemetry: MonsoonTelemetry::bind(&Registry::new()),
             faults: FaultInjector::disabled(),
             fault_site: batterylab_faults::site::POWER_METER.to_string(),
-            chunk_times: Vec::with_capacity(SAMPLE_CHUNK),
-            chunk_values: Vec::with_capacity(SAMPLE_CHUNK),
-            chunk_noise: Vec::with_capacity(SAMPLE_CHUNK),
-            chunk_ua: Vec::with_capacity(SAMPLE_CHUNK),
         }
-    }
-
-    /// Ensure every chunk scratch buffer holds a full chunk without
-    /// incremental growth mid-run.
-    fn reserve_chunk_scratch(&mut self) {
-        self.chunk_times.reserve(SAMPLE_CHUNK);
-        self.chunk_values.reserve(SAMPLE_CHUNK);
-        self.chunk_noise.reserve(SAMPLE_CHUNK);
-        self.chunk_ua.reserve(SAMPLE_CHUNK);
     }
 
     /// Replace the calibration (fault-injection tests use this).
@@ -202,7 +208,6 @@ impl Monsoon {
     /// In-place variant of [`Self::with_telemetry`].
     pub fn set_telemetry(&mut self, registry: &Registry) {
         self.telemetry = MonsoonTelemetry::bind(registry);
-        self.reserve_chunk_scratch();
     }
 
     /// Consult `injector` at the start of every sampling run for
@@ -267,28 +272,6 @@ impl Monsoon {
         self.total_samples
     }
 
-    /// Take one calibrated reading of `load` at `t`.
-    fn read_once(&mut self, load: &dyn CurrentSource, t: SimTime) -> Result<f64, MonsoonError> {
-        let true_ma = load.current_ma(t, self.voltage_v);
-        if true_ma > MAX_CONTINUOUS_MA {
-            self.telemetry.overcurrent_trips.inc();
-            self.telemetry.registry.event(
-                "power.overcurrent",
-                format!("{current:.0} mA at {t}", current = true_ma),
-            );
-            return Err(MonsoonError::OverCurrent {
-                at: t,
-                current_ma: true_ma,
-            });
-        }
-        let cal = self.calibration;
-        let noisy = true_ma * cal.gain + cal.offset_ma + self.rng.normal(0.0, cal.noise_ma);
-        // ADC quantisation; currents cannot read negative on the HV's
-        // unidirectional main channel.
-        let quantised = (noisy / cal.lsb_ma).round() * cal.lsb_ma;
-        Ok(quantised.max(0.0))
-    }
-
     /// Sample `load` at the native 5 kHz for `duration_s` seconds starting
     /// at `start`. Returns the full trace plus streaming aggregates.
     ///
@@ -307,14 +290,10 @@ impl Monsoon {
     /// experiments use a decimated rate to bound memory, exactly like the
     /// controller's streaming mode.
     ///
-    /// When the load reports its piecewise-constant structure through
-    /// [`CurrentSource::segments`], the physics is evaluated **once per
-    /// constant segment** and calibration, noise, quantisation and
-    /// clamping are applied over the segment's whole sample block in
-    /// tight slice loops — with identical output to the per-sample
-    /// reference path ([`Self::sample_run_reference_at_rate`]),
-    /// bit-for-bit. Loads without step structure fall back to the
-    /// reference path automatically.
+    /// The run goes through the segment-batched sampling loop (see
+    /// [`Self::sample_window`]): the physics is evaluated once per
+    /// constant segment of the load, with output bit-identical to the
+    /// per-sample oracle [`Self::sample_run_reference_at_rate`].
     pub fn sample_run_at_rate(
         &mut self,
         load: &dyn CurrentSource,
@@ -322,15 +301,23 @@ impl Monsoon {
         duration_s: f64,
         rate_hz: f64,
     ) -> Result<SampleRun, MonsoonError> {
-        self.gated(start, duration_s, rate_hz, |m| {
-            m.sample_run_body(load, start, duration_s, rate_hz, true)
+        self.gated(start, duration_s, rate_hz, |m, n, period_us| {
+            let mut samples = TimeSeries::with_capacity(n as usize);
+            let mut energy = EnergyAccumulator::new(rate_hz);
+            let volts = m.voltage_v;
+            m.sample_window(load, start, period_us, 0..n, None, |times, values| {
+                samples.extend_from_slices(times, values);
+                energy.push_slice(values, volts);
+            })?;
+            Ok(m.finish_run(start, n * period_us, samples, energy))
         })
     }
 
-    /// The retained per-sample reference path: evaluates the load at
-    /// every sample instant through [`Self::read_once`], exactly as the
-    /// pre-batching instrument did. Kept public so equivalence tests and
-    /// benches can pin the fast path against it.
+    /// The per-sample oracle: evaluates the load, draws one standard
+    /// normal and takes one reading at every sample instant, in a loop of
+    /// its own. Production runs never take it; it is kept public so
+    /// equivalence tests and benches can pin [`Self::sample_run_at_rate`]
+    /// against an independent implementation.
     pub fn sample_run_reference_at_rate(
         &mut self,
         load: &dyn CurrentSource,
@@ -338,21 +325,39 @@ impl Monsoon {
         duration_s: f64,
         rate_hz: f64,
     ) -> Result<SampleRun, MonsoonError> {
-        self.gated(start, duration_s, rate_hz, |m| {
-            m.sample_run_body(load, start, duration_s, rate_hz, false)
+        self.gated(start, duration_s, rate_hz, |m, n, period_us| {
+            let mut samples = TimeSeries::with_capacity(n as usize);
+            let mut energy = EnergyAccumulator::new(rate_hz);
+            for k in 0..n {
+                let t = SimTime::from_micros(start.as_micros() + k * period_us);
+                let true_ma = load.current_ma(t, m.voltage_v);
+                if true_ma > MAX_CONTINUOUS_MA {
+                    m.total_samples += k;
+                    m.telemetry.samples.add(k);
+                    return Err(m.telemetry.overcurrent(t, true_ma));
+                }
+                let ma = m.calibration.reading(true_ma, m.rng.standard_normal());
+                samples.push(t, ma);
+                energy.push(ma, m.voltage_v);
+                m.telemetry.sample_ua.record((ma * 1000.0).round() as u64);
+            }
+            m.total_samples += n;
+            m.telemetry.samples.add(n);
+            Ok(m.finish_run(start, n * period_us, samples, energy))
         })
     }
 
     /// Power/vout gating, argument checks and the meter's field faults,
     /// shared by every sampling path; then `body` runs the sampling
-    /// proper. A voltage-sag fault scales the bus voltage for the body
-    /// and the programmed value is restored on every exit path.
+    /// proper with the run's sample count and period (µs). A voltage-sag
+    /// fault scales the bus voltage for the body and the programmed value
+    /// is restored on every exit path.
     fn gated<R>(
         &mut self,
         start: SimTime,
         duration_s: f64,
         rate_hz: f64,
-        body: impl FnOnce(&mut Self) -> Result<R, MonsoonError>,
+        body: impl FnOnce(&mut Self, u64, u64) -> Result<R, MonsoonError>,
     ) -> Result<R, MonsoonError> {
         if !self.powered {
             return Err(MonsoonError::PoweredOff);
@@ -396,50 +401,33 @@ impl Monsoon {
         {
             self.voltage_v = (nominal_v * 0.92).max(VOLTAGE_RANGE.0);
         }
-        let result = body(self);
+        let n = (duration_s * rate_hz).round() as u64;
+        let period_us = (1e6 / rate_hz).round() as u64;
+        let result = body(self, n, period_us);
         self.voltage_v = nominal_v;
         result
     }
 
-    /// The sampling run proper, after [`Self::gated`].
-    fn sample_run_body(
+    /// Close a run that sampled `span_us` from `start`: count it and
+    /// advance the shared virtual clock to its end.
+    fn finish_run(
         &mut self,
-        load: &dyn CurrentSource,
         start: SimTime,
-        duration_s: f64,
-        rate_hz: f64,
-        batched: bool,
-    ) -> Result<SampleRun, MonsoonError> {
-        let n = (duration_s * rate_hz).round() as u64;
-        let period_us = (1e6 / rate_hz).round() as u64;
-        // The sample count is known up front: preallocate the trace and
-        // generate in chunks so the telemetry counter sees one add per
-        // chunk instead of one RMW per sample.
-        let mut samples = TimeSeries::with_capacity(n as usize);
-        let mut energy = EnergyAccumulator::new(rate_hz);
-        let end = SimTime::from_micros(start.as_micros() + n * period_us);
-        let segments = if batched {
-            load.segments(start, end, self.voltage_v)
-        } else {
-            None
-        };
-        match segments {
-            Some(segs) => {
-                self.run_segmented(&segs, load, start, period_us, n, &mut samples, &mut energy)?
-            }
-            None => self.run_per_sample(load, start, period_us, 0, n, &mut samples, &mut energy)?,
-        }
+        span_us: u64,
+        samples: TimeSeries,
+        energy: EnergyAccumulator,
+    ) -> SampleRun {
         self.telemetry.runs.inc();
-        self.telemetry.run_us.record(n * period_us);
+        self.telemetry.run_us.record(span_us);
         self.telemetry
             .registry
             .clock()
-            .advance_to(start.as_micros() + n * period_us);
-        Ok(SampleRun {
+            .advance_to(start.as_micros() + span_us);
+        SampleRun {
             samples,
             energy,
             voltage_v: self.voltage_v,
-        })
+        }
     }
 
     /// Crash-resumable sampling: the run is split into
@@ -471,250 +459,168 @@ impl Monsoon {
         // A sag that held during the original attempt but not the resume
         // shows up as a voltage plan mismatch — detected, not silently
         // spliced.
-        self.gated(start, duration_s, rate_hz, |m| {
-            m.checkpointed_body(load, start, duration_s, rate_hz, stream)
+        self.gated(start, duration_s, rate_hz, |m, n, period_us| {
+            // Verify the salvaged prefix BEFORE integrating any of it.
+            stream.verify().map_err(MonsoonError::Checkpoint)?;
+            stream
+                .configure(rate_hz, m.voltage_v, n)
+                .map_err(MonsoonError::Checkpoint)?;
+            let salvaged = stream.sealed_samples();
+            let interval = stream.interval();
+            let mut cumulative = stream.final_energy();
+            // Bound on the first seal, so a run that seals nothing leaves
+            // the registry without the counter, as it always has.
+            let mut sealed: Option<Counter> = None;
+            let mut values = Vec::with_capacity(interval.min(n) as usize);
+            for i in stream.next_segment()..n.div_ceil(interval) {
+                // Noise derived per (run start, segment): pure of how much
+                // of the parent stream any earlier attempt consumed.
+                let mut seg_rng = m.rng.derive(&format!("ckpt/{}/{i}", start.as_micros()));
+                let first = i * interval;
+                values.clear();
+                // A trip returns here, leaving the in-flight segment
+                // unsealed; the samples drawn before it stay counted.
+                m.sample_window(
+                    load,
+                    start,
+                    period_us,
+                    first..(first + interval).min(n),
+                    Some(&mut seg_rng),
+                    |_, chunk| values.extend_from_slice(chunk),
+                )?;
+                cumulative.push_slice(&values, m.voltage_v);
+                stream.seal(&values, &cumulative);
+                sealed
+                    .get_or_insert_with(|| {
+                        m.telemetry.registry.counter("durable.checkpoints_sealed")
+                    })
+                    .inc();
+            }
+            // The run's trace is the sealed stream, salvaged prefix included.
+            let all = stream.concat_values();
+            let times: Vec<SimTime> = (0..n)
+                .map(|k| SimTime::from_micros(start.as_micros() + k * period_us))
+                .collect();
+            let mut samples = TimeSeries::with_capacity(n as usize);
+            samples.extend_from_slices(&times, &all);
+            if salvaged > 0 {
+                m.telemetry
+                    .registry
+                    .counter("durable.samples_salvaged")
+                    .add(salvaged);
+                m.telemetry.registry.event(
+                    "durable.resume",
+                    format!("salvaged {salvaged} of {n} samples from sealed checkpoints"),
+                );
+            }
+            Ok(m.finish_run(start, n * period_us, samples, stream.final_energy()))
         })
     }
 
-    fn checkpointed_body(
-        &mut self,
-        load: &dyn CurrentSource,
-        start: SimTime,
-        duration_s: f64,
-        rate_hz: f64,
-        stream: &mut CheckpointStream,
-    ) -> Result<SampleRun, MonsoonError> {
-        let n = (duration_s * rate_hz).round() as u64;
-        let period_us = (1e6 / rate_hz).round() as u64;
-        // Verify the salvaged prefix BEFORE integrating any of it.
-        stream.verify().map_err(MonsoonError::Checkpoint)?;
-        stream
-            .configure(rate_hz, self.voltage_v, n)
-            .map_err(MonsoonError::Checkpoint)?;
-        let salvaged = stream.sealed_samples();
-        let cal = self.calibration;
-        let interval = stream.interval();
-        let mut cumulative = stream.final_energy();
-        let segments_total = n.div_ceil(interval);
-        let mut values = Vec::with_capacity(interval.min(n) as usize);
-        for i in stream.next_segment()..segments_total {
-            // Noise derived per (run start, segment): pure of how much of
-            // the parent stream any earlier attempt consumed.
-            let mut seg_rng = self.rng.derive(&format!("ckpt/{}/{i}", start.as_micros()));
-            let first = i * interval;
-            let len = interval.min(n - first);
-            values.clear();
-            for k in 0..len {
-                let t = SimTime::from_micros(start.as_micros() + (first + k) * period_us);
-                let true_ma = load.current_ma(t, self.voltage_v);
-                if true_ma > MAX_CONTINUOUS_MA {
-                    // Samples drawn before the trip stay accounted; the
-                    // in-flight segment is NOT sealed.
-                    self.total_samples += k;
-                    self.telemetry.samples.add(k);
-                    self.telemetry.overcurrent_trips.inc();
-                    self.telemetry.registry.event(
-                        "power.overcurrent",
-                        format!("{current:.0} mA at {t}", current = true_ma),
-                    );
-                    return Err(MonsoonError::OverCurrent {
-                        at: t,
-                        current_ma: true_ma,
-                    });
-                }
-                let noisy = true_ma * cal.gain + cal.offset_ma + seg_rng.normal(0.0, cal.noise_ma);
-                values.push(((noisy / cal.lsb_ma).round() * cal.lsb_ma).max(0.0));
-            }
-            cumulative.push_slice(&values, self.voltage_v);
-            self.chunk_ua.clear();
-            self.chunk_ua
-                .extend(values.iter().map(|&ma| (ma * 1000.0).round() as u64));
-            self.telemetry.sample_ua.record_slice(&self.chunk_ua);
-            self.total_samples += len;
-            self.telemetry.samples.add(len);
-            stream.seal(&values, &cumulative);
-            self.telemetry
-                .registry
-                .counter("durable.checkpoints_sealed")
-                .inc();
-        }
-        // The run's trace is the sealed stream, salvaged prefix included.
-        let all = stream.concat_values();
-        let times: Vec<SimTime> = (0..n)
-            .map(|k| SimTime::from_micros(start.as_micros() + k * period_us))
-            .collect();
-        let mut samples = TimeSeries::with_capacity(n as usize);
-        samples.extend_from_slices(&times, &all);
-        if salvaged > 0 {
-            self.telemetry
-                .registry
-                .counter("durable.samples_salvaged")
-                .add(salvaged);
-            self.telemetry.registry.event(
-                "durable.resume",
-                format!("salvaged {salvaged} of {n} samples from sealed checkpoints"),
-            );
-        }
-        self.telemetry.runs.inc();
-        self.telemetry.run_us.record(n * period_us);
-        self.telemetry
-            .registry
-            .clock()
-            .advance_to(start.as_micros() + n * period_us);
-        Ok(SampleRun {
-            samples,
-            energy: stream.final_energy(),
-            voltage_v: self.voltage_v,
-        })
-    }
-
-    /// The per-sample loop: one `read_once` per sample instant, chunked
-    /// for telemetry and trace-append amortisation. Generates samples
-    /// `first..n`; the segmented path delegates here if a segmentation
-    /// stops short of the window.
-    #[allow(clippy::too_many_arguments)]
-    fn run_per_sample(
-        &mut self,
-        load: &dyn CurrentSource,
-        start: SimTime,
-        period_us: u64,
-        first: u64,
-        n: u64,
-        samples: &mut TimeSeries,
-        energy: &mut EnergyAccumulator,
-    ) -> Result<(), MonsoonError> {
-        let mut done = first;
-        while done < n {
-            let len = SAMPLE_CHUNK.min((n - done) as usize);
-            self.chunk_times.clear();
-            self.chunk_values.clear();
-            for k in 0..len as u64 {
-                let t = SimTime::from_micros(start.as_micros() + (done + k) * period_us);
-                let ma = match self.read_once(load, t) {
-                    Ok(ma) => ma,
-                    Err(trip) => {
-                        // Account the samples drawn before the trip so the
-                        // counter agrees with the per-sample accounting.
-                        self.total_samples += k;
-                        self.telemetry.samples.add(k);
-                        return Err(trip);
-                    }
-                };
-                self.chunk_times.push(t);
-                self.chunk_values.push(ma);
-                energy.push(ma, self.voltage_v);
-                self.telemetry
-                    .sample_ua
-                    .record((ma * 1000.0).round() as u64);
-            }
-            samples.extend_from_slices(&self.chunk_times, &self.chunk_values);
-            self.total_samples += len as u64;
-            self.telemetry.samples.add(len as u64);
-            done += len as u64;
-        }
-        Ok(())
-    }
-
-    /// The segment-batched fast path: physics once per constant segment,
-    /// then calibration, noise, quantisation, clamping and aggregation
-    /// vectorised over the segment's sample block.
+    /// The one sampling loop behind every production run: samples the
+    /// `window` of instants `start + k·period_us` of `load`, handing each
+    /// chunk of up to [`SAMPLE_CHUNK`] instants and readings to `sink`.
     ///
-    /// Over-current is detected per segment — the current is constant
-    /// across it, so the first sample instant inside the segment trips,
-    /// which is exactly when the per-sample path would trip. Segments
-    /// containing no sample instant are skipped entirely, again matching
-    /// the reference path (which never observes them).
-    #[allow(clippy::too_many_arguments)]
-    fn run_segmented(
+    /// The loop walks the load's constant segments
+    /// ([`CurrentSource::segments`]). Each segment is checked against the
+    /// over-current limit once, at its first sample instant — the current
+    /// is constant across it, so that is exactly when a per-sample meter
+    /// trips — and its readings are produced in bulk: one reading for a
+    /// noise-free calibration, otherwise one standard normal per sample
+    /// from `rng` (the instrument's own stream when `None`), in time
+    /// order. Segments containing no sample instant are skipped. A load
+    /// without step structure is walked as one segment per sample
+    /// instant, as is whatever a short segmentation leaves uncovered.
+    ///
+    /// Every sample handed to `sink` is counted in `power.samples`,
+    /// `power.sample_ua` and [`Self::total_samples`], including the
+    /// samples drawn before a trip.
+    fn sample_window(
         &mut self,
-        segments: &[Segment],
         load: &dyn CurrentSource,
         start: SimTime,
         period_us: u64,
-        n: u64,
-        samples: &mut TimeSeries,
-        energy: &mut EnergyAccumulator,
+        window: Range<u64>,
+        rng: Option<&mut SimRng>,
+        mut sink: impl FnMut(&[SimTime], &[f64]),
     ) -> Result<(), MonsoonError> {
-        let cal = self.calibration;
-        let mut done = 0u64;
-        for seg in segments {
-            if done >= n {
-                break;
+        let (cal, volts) = (self.calibration, self.voltage_v);
+        let at = move |k: u64| SimTime::from_micros(start.as_micros() + k * period_us);
+        // Sample k lives at start + k·period; those strictly before an
+        // exclusive end are k < ceil(span / period).
+        let samples_before = |end: SimTime| {
+            let span = end.as_micros().saturating_sub(start.as_micros());
+            span.div_ceil(period_us).min(window.end)
+        };
+        let segmented = load.segments(at(window.start), at(window.end), volts);
+        let covered = match &segmented {
+            Some(segs) => segs.last().map_or(window.start, |s| samples_before(s.end)),
+            None => window.start,
+        };
+        debug_assert!(
+            segmented.is_none() || covered >= window.end,
+            "CurrentSource::segments did not cover the sampling window \
+             ({covered} of {} samples)",
+            window.end
+        );
+        // The rest of the window, one segment per sample instant, built
+        // lazily as the loop reaches it.
+        let per_sample = (covered..window.end).map(|k| Segment {
+            start: at(k),
+            end: at(k + 1),
+            current_ma: load.current_ma(at(k), volts),
+        });
+
+        let rng = rng.unwrap_or(&mut self.rng);
+        let telemetry = &self.telemetry;
+        let total_samples = &mut self.total_samples;
+        let mut ua = Vec::with_capacity(SAMPLE_CHUNK);
+        let mut flush = |times: &mut Vec<SimTime>, values: &mut Vec<f64>| {
+            if values.is_empty() {
+                return;
             }
-            // Sample k lives at start + k·period; those strictly before
-            // the segment's exclusive end are k < ceil(span / period).
-            let sample_end = if seg.end == SimTime::MAX {
-                n
-            } else {
-                let span = seg.end.as_micros().saturating_sub(start.as_micros());
-                span.div_ceil(period_us).min(n)
-            };
-            if sample_end <= done {
+            sink(times, values);
+            ua.clear();
+            ua.extend(values.iter().map(|&ma| (ma * 1000.0).round() as u64));
+            telemetry.sample_ua.record_slice(&ua);
+            *total_samples += values.len() as u64;
+            telemetry.samples.add(values.len() as u64);
+            times.clear();
+            values.clear();
+        };
+
+        let mut times = Vec::with_capacity(SAMPLE_CHUNK);
+        let mut values = Vec::with_capacity(SAMPLE_CHUNK);
+        let mut noise = Vec::with_capacity(SAMPLE_CHUNK);
+        let mut done = window.start;
+        for seg in segmented.into_iter().flatten().chain(per_sample) {
+            let seg_end = samples_before(seg.end);
+            if seg_end <= done {
                 continue; // no sample instant falls inside this segment
             }
-            let true_ma = seg.current_ma;
-            if true_ma > MAX_CONTINUOUS_MA {
-                // Constant across the segment ⇒ its first sample trips.
-                let t = SimTime::from_micros(start.as_micros() + done * period_us);
-                self.telemetry.overcurrent_trips.inc();
-                self.telemetry.registry.event(
-                    "power.overcurrent",
-                    format!("{current:.0} mA at {t}", current = true_ma),
-                );
-                return Err(MonsoonError::OverCurrent {
-                    at: t,
-                    current_ma: true_ma,
-                });
+            if seg.current_ma > MAX_CONTINUOUS_MA {
+                flush(&mut times, &mut values);
+                return Err(telemetry.overcurrent(at(done), seg.current_ma));
             }
-            // One physics + calibration evaluation for the whole segment.
-            let base = true_ma * cal.gain + cal.offset_ma;
-            while done < sample_end {
-                let len = SAMPLE_CHUNK.min((sample_end - done) as usize);
-                self.chunk_times.clear();
-                for k in 0..len as u64 {
-                    self.chunk_times.push(SimTime::from_micros(
-                        start.as_micros() + (done + k) * period_us,
-                    ));
-                }
-                self.chunk_values.clear();
+            while done < seg_end {
+                let len = (SAMPLE_CHUNK - values.len()).min((seg_end - done) as usize);
+                times.extend((done..done + len as u64).map(at));
                 if cal.noise_ma == 0.0 {
-                    // Noise-free: every sample of the segment quantises to
-                    // the same reading; compute it once.
-                    let reading = ((base / cal.lsb_ma).round() * cal.lsb_ma).max(0.0);
-                    self.chunk_values.resize(len, reading);
+                    // Noise-free: every sample of the segment reads the same.
+                    let reading = cal.reading(seg.current_ma, 0.0);
+                    values.resize(values.len() + len, reading);
                 } else {
-                    self.chunk_noise.resize(len, 0.0);
-                    self.rng.fill_standard_normal(&mut self.chunk_noise[..len]);
-                    for &z in &self.chunk_noise[..len] {
-                        let noisy = base + cal.noise_ma * z;
-                        self.chunk_values
-                            .push(((noisy / cal.lsb_ma).round() * cal.lsb_ma).max(0.0));
-                    }
+                    noise.resize(len, 0.0);
+                    rng.fill_standard_normal(&mut noise);
+                    values.extend(noise.iter().map(|&z| cal.reading(seg.current_ma, z)));
                 }
-                energy.push_slice(&self.chunk_values, self.voltage_v);
-                self.chunk_ua.clear();
-                self.chunk_ua.extend(
-                    self.chunk_values
-                        .iter()
-                        .map(|&ma| (ma * 1000.0).round() as u64),
-                );
-                self.telemetry.sample_ua.record_slice(&self.chunk_ua);
-                samples.extend_from_slices(&self.chunk_times, &self.chunk_values);
-                self.total_samples += len as u64;
-                self.telemetry.samples.add(len as u64);
                 done += len as u64;
+                if values.len() == SAMPLE_CHUNK {
+                    flush(&mut times, &mut values);
+                }
             }
         }
-        if done < n {
-            // A segmentation that stops short of the window violates the
-            // CurrentSource contract; degrade to slow-but-correct.
-            debug_assert!(
-                false,
-                "CurrentSource::segments did not cover the sampling window \
-                 ({done} of {n} samples)"
-            );
-            return self.run_per_sample(load, start, period_us, done, n, samples, energy);
-        }
+        flush(&mut times, &mut values);
         Ok(())
     }
 }
@@ -722,7 +628,7 @@ impl Monsoon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{ConstantLoad, OpenCircuit};
+    use crate::source::{ConstantLoad, OpenCircuit, TraceLoad};
     use batterylab_stats::Summary;
 
     fn powered_monsoon(seed: u64) -> Monsoon {
@@ -854,6 +760,14 @@ mod tests {
             let steps = v / 0.02;
             assert!((steps - steps.round()).abs() < 1e-6, "not quantised: {v}");
         }
+    }
+
+    #[test]
+    fn a_reading_that_quantises_to_negative_zero_reads_positive_zero() {
+        // 0.03 + 0.25·(-0.14) = -0.005 mA quantises to -0.0 at a 0.02 mA
+        // LSB; the clamp must give +0.0 in every build profile.
+        let reading = Calibration::default().reading(0.0, -0.14);
+        assert_eq!(reading.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -1015,6 +929,85 @@ mod tests {
         assert_eq!(report.counter("power.samples"), 600);
         assert_eq!(report.counter("durable.samples_salvaged"), 400);
         assert_eq!(report.counter("durable.checkpoints_sealed"), 6);
+    }
+
+    #[test]
+    fn checkpointed_trip_counts_every_drawn_sample_and_leaves_the_segment_unsealed() {
+        // Healthy until 432.5 ms (off the 1 ms grid), inside the fifth
+        // 100-sample checkpoint segment, then over the 6 A limit.
+        let mut trace = batterylab_sim::StepSignal::new(150.0);
+        trace.set(SimTime::from_micros(432_500), 6500.0);
+        let load = TraceLoad::new(trace, 4.0);
+        let registry = Registry::new();
+        let mut m = powered_monsoon(34);
+        m.set_telemetry(&registry);
+        let mut stream = CheckpointStream::new(100);
+        let err = m
+            .sample_run_checkpointed(&load, SimTime::ZERO, 1.0, 1000.0, &mut stream)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MonsoonError::OverCurrent {
+                at: SimTime::from_micros(433_000),
+                current_ma: 6500.0,
+            }
+        );
+        // Segments 0..4 sealed; the 33 samples drawn in segment 4 before
+        // the trip are counted everywhere, but the segment is not sealed.
+        assert_eq!(stream.segments.len(), 4);
+        let report = registry.snapshot();
+        assert_eq!(report.counter("durable.checkpoints_sealed"), 4);
+        assert_eq!(report.counter("power.samples"), 433);
+        assert_eq!(report.histogram("power.sample_ua").unwrap().count, 433);
+        assert_eq!(m.total_samples(), 433);
+        assert_eq!(report.counter("power.overcurrent_trips"), 1);
+    }
+
+    #[test]
+    fn checkpointed_stepped_load_matches_a_per_sample_oracle() {
+        // Noisy stepped load: boundaries off the 1 ms sample grid, some
+        // inside checkpoint segments and one straddling a segment edge.
+        let start = SimTime::from_micros(1_234_500);
+        let mut trace = batterylab_sim::StepSignal::new(120.0);
+        for (t_us, ma) in [
+            (1_300_250, 480.5),
+            (1_362_499, 15.0),
+            (1_362_501, 910.0),
+            (1_618_700, 0.0),
+            (1_900_001, 233.3),
+        ] {
+            trace.set(SimTime::from_micros(t_us), ma);
+        }
+        let load = TraceLoad::new(trace, 4.0);
+        let (rate, interval, n) = (1000.0, 128u64, 1000u64);
+        let mut stream = CheckpointStream::new(interval);
+        let run = powered_monsoon(35)
+            .sample_run_checkpointed(&load, start, 1.0, rate, &mut stream)
+            .unwrap();
+
+        let cal = Calibration::default();
+        let root = SimRng::new(35).derive("monsoon");
+        let mut expected = TimeSeries::new();
+        let mut energy = EnergyAccumulator::new(rate);
+        for i in 0..n.div_ceil(interval) {
+            let mut rng = root.derive(&format!("ckpt/{}/{i}", start.as_micros()));
+            for k in i * interval..((i + 1) * interval).min(n) {
+                let t = SimTime::from_micros(start.as_micros() + k * 1000);
+                let ma = cal.reading(load.current_ma(t, 4.0), rng.standard_normal());
+                expected.push(t, ma);
+                energy.push(ma, 4.0);
+            }
+        }
+        assert_eq!(stream.segments.len(), 8);
+        assert_eq!(run.samples.times(), expected.times());
+        for (a, b) in run.samples.values().iter().zip(expected.values()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "sample mismatch: {a} vs {b}");
+        }
+        assert_eq!(run.samples.len(), expected.len());
+        assert_eq!(run.energy.samples(), energy.samples());
+        assert_eq!(run.energy.mah().to_bits(), energy.mah().to_bits());
+        assert_eq!(run.energy.mwh().to_bits(), energy.mwh().to_bits());
+        assert_eq!(run.energy.max_ma().to_bits(), energy.max_ma().to_bits());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use batterylab::durable::{CheckpointStream, GapKind};
 use batterylab::platform::Platform;
-use batterylab::power::{ConstantLoad, Monsoon};
-use batterylab::sim::{SimRng, SimTime};
+use batterylab::power::{ConstantLoad, CurrentSource, Monsoon, TraceLoad};
+use batterylab::sim::{SimRng, SimTime, StepSignal};
 use batterylab::telemetry::Registry;
 use proptest::prelude::*;
 
@@ -22,11 +22,30 @@ fn armed_monsoon(seed: u64) -> Monsoon {
     m
 }
 
-fn checkpointed_run(seed: u64, stream: &mut CheckpointStream) -> batterylab::power::SampleRun {
-    let load = ConstantLoad::new(300.0, 4.0);
+fn checkpointed_run(
+    load: &dyn CurrentSource,
+    seed: u64,
+    stream: &mut CheckpointStream,
+) -> batterylab::power::SampleRun {
     armed_monsoon(seed)
-        .sample_run_checkpointed(&load, SimTime::ZERO, DURATION_S, RATE_HZ, stream)
+        .sample_run_checkpointed(load, SimTime::ZERO, DURATION_S, RATE_HZ, stream)
         .expect("fault-free checkpointed run")
+}
+
+/// The constant load, or a step trace built from `(gap_us, value_ma)`
+/// deltas whose boundaries mostly fall off the sample grid and across
+/// checkpoint segment edges.
+fn drawn_load(stepped: bool, steps: &[(u64, f64)]) -> Box<dyn CurrentSource> {
+    if !stepped {
+        return Box::new(ConstantLoad::new(300.0, 4.0));
+    }
+    let mut signal = StepSignal::new(300.0);
+    let mut t = 0u64;
+    for &(gap_us, value) in steps {
+        t += gap_us;
+        signal.set(SimTime::from_micros(t), value);
+    }
+    Box::new(TraceLoad::new(signal, 4.0))
 }
 
 /// Histogram aggregate of a run's samples, for bit-level comparison.
@@ -42,22 +61,26 @@ fn sample_histogram(values: &[f64]) -> batterylab::telemetry::HistogramSnapshot 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Crash a checkpointed sample run after a randomized number of
-    /// sealed segments; the resumed run's samples, mAh, sample count
-    /// and histogram must be bit-identical to the uninterrupted run.
+    /// Crash a checkpointed sample run of a constant or a stepped load
+    /// after a randomized number of sealed segments; the resumed run's
+    /// samples, mAh, sample count and histogram must be bit-identical to
+    /// the uninterrupted run.
     #[test]
     fn resumed_run_matches_uninterrupted_bit_for_bit(
         seed in 0u64..100,
         keep_frac in 0.0f64..1.0,
+        stepped in any::<bool>(),
+        steps in proptest::collection::vec((1u64..400_000, 0.0f64..1500.0), 1..10),
     ) {
+        let load = drawn_load(stepped, &steps);
         let mut full_stream = CheckpointStream::new(INTERVAL);
-        let full = checkpointed_run(seed, &mut full_stream);
+        let full = checkpointed_run(load.as_ref(), seed, &mut full_stream);
 
         let mut partial = CheckpointStream::new(INTERVAL);
-        let _ = checkpointed_run(seed, &mut partial);
+        let _ = checkpointed_run(load.as_ref(), seed, &mut partial);
         let keep = (partial.segments.len() as f64 * keep_frac) as usize;
         partial.segments.truncate(keep);
-        let resumed = checkpointed_run(seed, &mut partial);
+        let resumed = checkpointed_run(load.as_ref(), seed, &mut partial);
 
         prop_assert_eq!(full.samples.values(), resumed.samples.values());
         prop_assert_eq!(full.energy.mah().to_bits(), resumed.energy.mah().to_bits());
@@ -78,8 +101,9 @@ proptest! {
         victim in 0usize..8,
         mode in 0u8..4,
     ) {
+        let load = ConstantLoad::new(300.0, 4.0);
         let mut stream = CheckpointStream::new(INTERVAL);
-        let _ = checkpointed_run(seed, &mut stream);
+        let _ = checkpointed_run(&load, seed, &mut stream);
         let mut victim = victim % stream.segments.len();
 
         let expected_kind = match mode {
@@ -104,7 +128,6 @@ proptest! {
             }
         };
 
-        let load = ConstantLoad::new(300.0, 4.0);
         let err = armed_monsoon(seed)
             .sample_run_checkpointed(&load, SimTime::ZERO, DURATION_S, RATE_HZ, &mut stream)
             .expect_err("damaged checkpoint must not resume");
