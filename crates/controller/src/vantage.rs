@@ -15,8 +15,8 @@ use batterylab_power::{
     SocketState, MONSOON_RATE_HZ,
 };
 use batterylab_relay::{BoardError, ChannelRoute, CircuitSwitch, RelayBoard};
-use batterylab_sim::{SimDuration, SimRng, SimTime, TimeSeries};
-use batterylab_stats::{Cdf, EnergyAccumulator};
+use batterylab_sim::{SimDuration, SimRng, SimTime};
+use batterylab_stats::{Cdf, EnergyAccumulator, SampleCounts};
 use batterylab_telemetry::{Counter, Histogram, Registry};
 
 use crate::pi::PiModel;
@@ -155,8 +155,10 @@ pub struct MeasurementReport {
     pub voltage_v: f64,
     /// Sampling rate used.
     pub rate_hz: f64,
-    /// The current samples (mA).
-    pub samples: TimeSeries,
+    /// The current samples (mA), counted: each distinct reading and how
+    /// often it occurred, so a session of any length fits in the memory
+    /// of its few thousand distinct values.
+    pub samples: SampleCounts,
     /// Streaming aggregates.
     pub energy: EnergyAccumulator,
     /// Measurement window on the device clock.
@@ -176,7 +178,7 @@ impl MeasurementReport {
 
     /// CDF of the current samples.
     pub fn cdf(&self) -> Cdf {
-        Cdf::from_samples(self.samples.values())
+        self.samples.cdf()
     }
 }
 
@@ -472,8 +474,10 @@ impl VantagePoint {
         self.stop_monitor_at_rate(MONSOON_RATE_HZ)
     }
 
-    /// As [`Self::stop_monitor`] with a decimated rate for long runs
-    /// (streaming mode keeps Pi memory bounded).
+    /// As [`Self::stop_monitor`] at a caller-chosen rate. The samples
+    /// stream through the Monsoon's counting run: the report keeps their
+    /// distribution and aggregates, never the trace, so Pi memory stays
+    /// flat in the session's length at any rate.
     pub fn stop_monitor_at_rate(
         &mut self,
         rate_hz: f64,
@@ -492,7 +496,7 @@ impl VantagePoint {
         let meter_side = self.switch.meter_side();
         let run =
             self.monsoon
-                .sample_run_at_rate(&meter_side, active.started, duration, rate_hz)?;
+                .sample_counts_at_rate(&meter_side, active.started, duration, rate_hz)?;
         Ok(self.complete_measurement(active, end, rate_hz, run))
     }
 
@@ -546,6 +550,14 @@ impl VantagePoint {
             }
         };
         self.pi.clear_source("monsoon-poll");
+        // The trace is already sealed in `stream`; the report counts it.
+        let mut samples = SampleCounts::with_capacity(run.samples.len());
+        samples.push_slice(run.samples.values());
+        let run = SampleRun {
+            samples,
+            energy: run.energy,
+            voltage_v: run.voltage_v,
+        };
         Ok(self.complete_measurement(active, end, rate_hz, run))
     }
 
@@ -556,7 +568,7 @@ impl VantagePoint {
         active: ActiveMeasurement,
         end: SimTime,
         rate_hz: f64,
-        run: SampleRun,
+        run: SampleRun<SampleCounts>,
     ) -> MeasurementReport {
         self.past_measurements
             .push((active.serial.clone(), active.started, end));
@@ -1060,7 +1072,13 @@ mod tests {
         // resumes from the salvaged stream.
         let (mut vp3, _) = measured_vantage(41);
         let resumed = vp3.stop_monitor_checkpointed(500.0, &mut partial).unwrap();
-        assert_eq!(full.samples.values(), resumed.samples.values());
+        // Reports keep counts, so the traces compare as sealed.
+        let counted = |report: &MeasurementReport| -> Vec<(u64, u64)> {
+            let cdf = report.cdf();
+            cdf.counts().map(|(v, n)| (v.to_bits(), n)).collect()
+        };
+        assert_eq!(full_stream.concat_values(), partial.concat_values());
+        assert_eq!(counted(&full), counted(&resumed));
         assert_eq!(full.mah().to_bits(), resumed.mah().to_bits());
         assert_eq!(full.energy.samples(), resumed.energy.samples());
 
@@ -1080,7 +1098,9 @@ mod tests {
         assert!(vp5.measurement_active(), "measurement must stay active");
         let mut fresh = CheckpointStream::new(250);
         let retried = vp5.stop_monitor_checkpointed(500.0, &mut fresh).unwrap();
-        assert_eq!(full.samples.values(), retried.samples.values());
+        assert_eq!(full_stream.concat_values(), fresh.concat_values());
+        assert_eq!(counted(&full), counted(&retried));
+        assert_eq!(full.mah().to_bits(), retried.mah().to_bits());
     }
 
     #[test]

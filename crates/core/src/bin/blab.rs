@@ -498,7 +498,15 @@ fn main() {
                 full.samples.len()
             );
             println!("  crash kept {keep} segment(s); resume salvaged them and refilled the rest");
-            let identical = full.samples.values() == resumed.samples.values()
+            // The reports keep counts, not traces: compare the sealed
+            // traces themselves, then what each report counted and summed.
+            let counted = |cdf: batterylab::stats::Cdf| {
+                cdf.counts()
+                    .map(|(v, n)| (v.to_bits(), n))
+                    .collect::<Vec<_>>()
+            };
+            let identical = full_stream.concat_values() == salvage.concat_values()
+                && counted(full.cdf()) == counted(resumed.cdf())
                 && full.mah().to_bits() == resumed.mah().to_bits();
             println!(
                 "  uninterrupted: {:.6} mAh   resumed: {:.6} mAh   bit-identical: {}",

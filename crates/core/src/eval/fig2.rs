@@ -155,7 +155,7 @@ fn run_scenario(config: &EvalConfig, scenario: Fig2Scenario) -> Cdf {
         switch.engage_bypass(0, start).expect("device attached");
         let meter_side = switch.meter_side();
         monsoon
-            .sample_run_at_rate(
+            .sample_counts_at_rate(
                 &meter_side,
                 start,
                 config.fig2_duration_s,
@@ -164,7 +164,7 @@ fn run_scenario(config: &EvalConfig, scenario: Fig2Scenario) -> Cdf {
             .expect("sampling")
     } else {
         monsoon
-            .sample_run_at_rate(
+            .sample_counts_at_rate(
                 &device,
                 start,
                 config.fig2_duration_s,
@@ -172,7 +172,7 @@ fn run_scenario(config: &EvalConfig, scenario: Fig2Scenario) -> Cdf {
             )
             .expect("sampling")
     };
-    Cdf::from_samples(run.samples.values())
+    run.samples.cdf()
 }
 
 #[cfg(test)]

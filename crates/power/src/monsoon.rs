@@ -16,7 +16,7 @@ use std::ops::Range;
 use batterylab_durable::{CheckpointStream, GapReport};
 use batterylab_faults::{FaultInjector, FaultKind};
 use batterylab_sim::{SimRng, SimTime, TimeSeries};
-use batterylab_stats::EnergyAccumulator;
+use batterylab_stats::{EnergyAccumulator, SampleCounts};
 use batterylab_telemetry::{Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 
@@ -25,9 +25,12 @@ use crate::source::{CurrentSource, Segment};
 /// Native sampling rate of the Monsoon HV, Hz.
 pub const MONSOON_RATE_HZ: f64 = 5000.0;
 /// Samples generated per chunk in the sampling loop. Chunking amortises
-/// the telemetry counter RMW, the histogram update and the sink's
-/// ordered append into one operation per chunk.
+/// the telemetry counter RMW, the histogram update and the sink call
+/// into one operation per chunk.
 const SAMPLE_CHUNK: usize = 1024;
+/// Sample instants per request for the load's segments: a run of any
+/// length holds the segments of at most this many instants at once.
+const SEGMENT_SPAN: u64 = 64 * 1024;
 /// Programmable output voltage range, volts.
 pub const VOLTAGE_RANGE: (f64, f64) = (0.8, 13.5);
 /// Continuous current limit, mA.
@@ -73,12 +76,15 @@ impl std::fmt::Display for MonsoonError {
 
 impl std::error::Error for MonsoonError {}
 
-/// Result of a sampling run.
+/// Result of a sampling run: by default the full timestamped trace, or
+/// [`SampleCounts`] for a counting run
+/// ([`Monsoon::sample_counts_at_rate`]).
 #[derive(Clone, Debug)]
-pub struct SampleRun {
-    /// The raw 5 kHz current samples, mA.
-    pub samples: TimeSeries,
-    /// Streamed aggregates (what the controller keeps for long runs).
+pub struct SampleRun<S = TimeSeries> {
+    /// The current samples, mA.
+    pub samples: S,
+    /// Charge, energy and extremes, accumulated chunk by chunk in sample
+    /// order; bit-identical whichever form `samples` takes.
     pub energy: EnergyAccumulator,
     /// Voltage the run was performed at.
     pub voltage_v: f64,
@@ -286,9 +292,9 @@ impl Monsoon {
         self.sample_run_at_rate(load, start, duration_s, MONSOON_RATE_HZ)
     }
 
-    /// As [`Self::sample_run`] but at a caller-chosen rate — long browser
-    /// experiments use a decimated rate to bound memory, exactly like the
-    /// controller's streaming mode.
+    /// As [`Self::sample_run`] but at a caller-chosen rate, up to the
+    /// native 5 kHz. The run keeps every sample; callers that only need
+    /// the distribution take [`Self::sample_counts_at_rate`].
     ///
     /// The run goes through the segment-batched sampling loop (see
     /// [`Self::sample_window`]): the physics is evaluated once per
@@ -301,12 +307,65 @@ impl Monsoon {
         duration_s: f64,
         rate_hz: f64,
     ) -> Result<SampleRun, MonsoonError> {
+        let mut times = Vec::with_capacity(SAMPLE_CHUNK);
+        self.streamed_run(
+            load,
+            start,
+            duration_s,
+            rate_hz,
+            TimeSeries::with_capacity,
+            |series, period_us, values| {
+                let first = series.len() as u64;
+                times.clear();
+                times.extend(
+                    (first..first + values.len() as u64)
+                        .map(|k| SimTime::from_micros(start.as_micros() + k * period_us)),
+                );
+                series.extend_from_slices(&times, values);
+            },
+        )
+    }
+
+    /// As [`Self::sample_run_at_rate`], keeping only the readings' exact
+    /// distribution instead of the trace: the same samples, the same
+    /// aggregates and telemetry, in memory that grows with the number of
+    /// distinct readings rather than with the run's length.
+    pub fn sample_counts_at_rate(
+        &mut self,
+        load: &dyn CurrentSource,
+        start: SimTime,
+        duration_s: f64,
+        rate_hz: f64,
+    ) -> Result<SampleRun<SampleCounts>, MonsoonError> {
+        self.streamed_run(
+            load,
+            start,
+            duration_s,
+            rate_hz,
+            SampleCounts::with_capacity,
+            |counts, _, values| counts.push_slice(values),
+        )
+    }
+
+    /// One pass of the sampling loop over a whole run at the instrument's
+    /// own noise stream: `new` makes the sink for the run's sample count
+    /// and `push` feeds it each chunk in order, with the run's period
+    /// (µs), alongside the energy accumulator.
+    fn streamed_run<S>(
+        &mut self,
+        load: &dyn CurrentSource,
+        start: SimTime,
+        duration_s: f64,
+        rate_hz: f64,
+        new: impl FnOnce(usize) -> S,
+        mut push: impl FnMut(&mut S, u64, &[f64]),
+    ) -> Result<SampleRun<S>, MonsoonError> {
         self.gated(start, duration_s, rate_hz, |m, n, period_us| {
-            let mut samples = TimeSeries::with_capacity(n as usize);
+            let mut samples = new(n as usize);
             let mut energy = EnergyAccumulator::new(rate_hz);
             let volts = m.voltage_v;
-            m.sample_window(load, start, period_us, 0..n, None, |times, values| {
-                samples.extend_from_slices(times, values);
+            m.sample_window(load, start, period_us, 0..n, None, |values| {
+                push(&mut samples, period_us, values);
                 energy.push_slice(values, volts);
             })?;
             Ok(m.finish_run(start, n * period_us, samples, energy))
@@ -410,13 +469,13 @@ impl Monsoon {
 
     /// Close a run that sampled `span_us` from `start`: count it and
     /// advance the shared virtual clock to its end.
-    fn finish_run(
+    fn finish_run<S>(
         &mut self,
         start: SimTime,
         span_us: u64,
-        samples: TimeSeries,
+        samples: S,
         energy: EnergyAccumulator,
-    ) -> SampleRun {
+    ) -> SampleRun<S> {
         self.telemetry.runs.inc();
         self.telemetry.run_us.record(span_us);
         self.telemetry
@@ -486,7 +545,7 @@ impl Monsoon {
                     period_us,
                     first..(first + interval).min(n),
                     Some(&mut seg_rng),
-                    |_, chunk| values.extend_from_slice(chunk),
+                    |chunk| values.extend_from_slice(chunk),
                 )?;
                 cumulative.push_slice(&values, m.voltage_v);
                 stream.seal(&values, &cumulative);
@@ -518,11 +577,13 @@ impl Monsoon {
     }
 
     /// The one sampling loop behind every production run: samples the
-    /// `window` of instants `start + k·period_us` of `load`, handing each
-    /// chunk of up to [`SAMPLE_CHUNK`] instants and readings to `sink`.
+    /// `window` of instants `start + k·period_us` of `load`, handing the
+    /// readings to `sink` in time order, in chunks of up to
+    /// [`SAMPLE_CHUNK`].
     ///
     /// The loop walks the load's constant segments
-    /// ([`CurrentSource::segments`]). Each segment is checked against the
+    /// ([`CurrentSource::segments`]), fetched [`SEGMENT_SPAN`] instants at
+    /// a time. Each segment is checked against the
     /// over-current limit once, at its first sample instant — the current
     /// is constant across it, so that is exactly when a per-sample meter
     /// trips — and its readings are produced in bulk: one reading for a
@@ -542,69 +603,74 @@ impl Monsoon {
         period_us: u64,
         window: Range<u64>,
         rng: Option<&mut SimRng>,
-        mut sink: impl FnMut(&[SimTime], &[f64]),
+        mut sink: impl FnMut(&[f64]),
     ) -> Result<(), MonsoonError> {
         let (cal, volts) = (self.calibration, self.voltage_v);
         let at = move |k: u64| SimTime::from_micros(start.as_micros() + k * period_us);
         // Sample k lives at start + k·period; those strictly before an
         // exclusive end are k < ceil(span / period).
-        let samples_before = |end: SimTime| {
+        let window_end = window.end;
+        let samples_before = move |end: SimTime| {
             let span = end.as_micros().saturating_sub(start.as_micros());
-            span.div_ceil(period_us).min(window.end)
+            span.div_ceil(period_us).min(window_end)
         };
-        let segmented = load.segments(at(window.start), at(window.end), volts);
-        let covered = match &segmented {
-            Some(segs) => segs.last().map_or(window.start, |s| samples_before(s.end)),
-            None => window.start,
-        };
-        debug_assert!(
-            segmented.is_none() || covered >= window.end,
-            "CurrentSource::segments did not cover the sampling window \
-             ({covered} of {} samples)",
-            window.end
-        );
-        // The rest of the window, one segment per sample instant, built
-        // lazily as the loop reaches it.
-        let per_sample = (covered..window.end).map(|k| Segment {
-            start: at(k),
-            end: at(k + 1),
-            current_ma: load.current_ma(at(k), volts),
-        });
+        // The load's segments, asked for one span of instants at a time
+        // so a long run never holds all of them at once; whatever a span's
+        // segmentation leaves uncovered is chained on lazily, one segment
+        // per sample instant.
+        let segments = (window.start..window.end)
+            .step_by(SEGMENT_SPAN as usize)
+            .flat_map(move |lo| {
+                let hi = (lo + SEGMENT_SPAN).min(window_end);
+                let segmented = load.segments(at(lo), at(hi), volts);
+                let covered = match &segmented {
+                    Some(segs) => segs.last().map_or(lo, |s| samples_before(s.end)),
+                    None => lo,
+                };
+                debug_assert!(
+                    segmented.is_none() || covered >= hi,
+                    "CurrentSource::segments did not cover the sampling window \
+                     ({covered} of {hi} samples)"
+                );
+                let per_sample = (covered..hi).map(move |k| Segment {
+                    start: at(k),
+                    end: at(k + 1),
+                    current_ma: load.current_ma(at(k), volts),
+                });
+                segmented.into_iter().flatten().chain(per_sample)
+            });
 
         let rng = rng.unwrap_or(&mut self.rng);
         let telemetry = &self.telemetry;
         let total_samples = &mut self.total_samples;
         let mut ua = Vec::with_capacity(SAMPLE_CHUNK);
-        let mut flush = |times: &mut Vec<SimTime>, values: &mut Vec<f64>| {
+        let mut flush = |values: &mut Vec<f64>| {
             if values.is_empty() {
                 return;
             }
-            sink(times, values);
+            sink(values);
             ua.clear();
             ua.extend(values.iter().map(|&ma| (ma * 1000.0).round() as u64));
             telemetry.sample_ua.record_slice(&ua);
             *total_samples += values.len() as u64;
             telemetry.samples.add(values.len() as u64);
-            times.clear();
             values.clear();
         };
 
-        let mut times = Vec::with_capacity(SAMPLE_CHUNK);
         let mut values = Vec::with_capacity(SAMPLE_CHUNK);
         let mut noise = Vec::with_capacity(SAMPLE_CHUNK);
         let mut done = window.start;
-        for seg in segmented.into_iter().flatten().chain(per_sample) {
+        for seg in segments {
             let seg_end = samples_before(seg.end);
             if seg_end <= done {
                 continue; // no sample instant falls inside this segment
             }
             if seg.current_ma > MAX_CONTINUOUS_MA {
-                flush(&mut times, &mut values);
+                flush(&mut values);
                 return Err(telemetry.overcurrent(at(done), seg.current_ma));
             }
             while done < seg_end {
                 let len = (SAMPLE_CHUNK - values.len()).min((seg_end - done) as usize);
-                times.extend((done..done + len as u64).map(at));
                 if cal.noise_ma == 0.0 {
                     // Noise-free: every sample of the segment reads the same.
                     let reading = cal.reading(seg.current_ma, 0.0);
@@ -616,11 +682,11 @@ impl Monsoon {
                 }
                 done += len as u64;
                 if values.len() == SAMPLE_CHUNK {
-                    flush(&mut times, &mut values);
+                    flush(&mut values);
                 }
             }
         }
-        flush(&mut times, &mut values);
+        flush(&mut values);
         Ok(())
     }
 }

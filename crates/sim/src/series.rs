@@ -248,6 +248,15 @@ impl StepSignal {
         }
     }
 
+    /// A monotone segment cursor seated at the step in effect at `t`, so
+    /// a sweep that starts late in a long signal skips its history.
+    pub fn cursor_at(&self, t: SimTime) -> StepCursor<'_> {
+        StepCursor {
+            signal: self,
+            index: self.index_at(t),
+        }
+    }
+
     /// Current (latest) value.
     pub fn last(&self) -> f64 {
         self.points.last().expect("non-empty").1
@@ -461,6 +470,21 @@ mod tests {
             assert_eq!(cursor.at(q).to_bits(), s.at(q).to_bits(), "at {q:?}");
             let (v, end) = s.segment_at(q);
             assert_eq!(cursor.segment(q), (v, end));
+        }
+    }
+
+    #[test]
+    fn cursor_seated_mid_signal_matches_at() {
+        let mut s = StepSignal::new(0.0);
+        for k in 1..40u64 {
+            s.set(SimTime::from_millis(k * 137), (k % 5) as f64);
+        }
+        for from_us in [0, 136_999, 137_000, 2_000_000, 9_000_000] {
+            let mut cursor = s.cursor_at(SimTime::from_micros(from_us));
+            for us in (from_us..from_us + 3_000_000).step_by(13_331) {
+                let q = SimTime::from_micros(us);
+                assert_eq!(cursor.segment(q), s.segment_at(q), "at {q:?}");
+            }
         }
     }
 

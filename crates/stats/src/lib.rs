@@ -12,6 +12,6 @@ mod cdf;
 mod energy;
 mod summary;
 
-pub use cdf::Cdf;
+pub use cdf::{Cdf, SampleCounts};
 pub use energy::{mah_from_ma_samples, mwh_from_samples, EnergyAccumulator};
 pub use summary::{ci95_half_width, Summary};

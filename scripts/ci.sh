@@ -39,6 +39,16 @@ cargo test -q -p batterylab-tests --test parallel_determinism
 # identical to the per-sample reference path (noise-free and noisy).
 cargo test -q -p batterylab-tests --test sampling_fastpath
 
+# Exact counted CDFs: a CDF counted from a stream answers every query bit
+# for bit as Cdf::from_samples and the sorted-vector definitions, at any
+# chunking of the stream and across the counting sink's buffer folds.
+cargo test -q -p batterylab-stats --test counted_cdf
+
+# Session memory flat in length: a 600 s 5 kHz stop_monitor peaks within
+# 1.1x the heap of a 60 s one (bytes counted by the test's own
+# allocator), with under 10,000 distinct readings retained in both.
+cargo test -q -p batterylab-tests --test session_memory
+
 # Bounded chaos soak (seconds, not minutes): experiment pipelines under
 # seeded fault schedules — no lost/duplicated jobs, billing conserved
 # across retries, every injected fault journaled. The second invocation

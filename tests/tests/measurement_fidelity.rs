@@ -139,12 +139,38 @@ fn full_pipeline_determinism() {
             s.play_video(SimDuration::from_secs(15));
         });
         let report = vp.stop_monitor_at_rate(500.0).unwrap();
-        (report.mah(), report.samples.values().to_vec())
+        // The report keeps counts, not the trace: what it counted and
+        // summed, plus the device's own trace over the measured window,
+        // read sample by sample through a Monsoon of its own.
+        let counted: Vec<(u64, u64)> = report
+            .cdf()
+            .counts()
+            .map(|(v, n)| (v.to_bits(), n))
+            .collect();
+        let e = &report.energy;
+        let energy = [e.mah(), e.mwh(), e.min_ma(), e.max_ma()].map(f64::to_bits);
+        let (from, to) = report.window;
+        let mut meter = Monsoon::new(SimRng::new(305).derive("replay"));
+        meter.set_powered(true);
+        meter.set_voltage(4.0).unwrap();
+        meter.enable_vout().unwrap();
+        let trace = meter
+            .sample_run_at_rate(&device, from, (to - from).as_secs_f64(), 500.0)
+            .unwrap();
+        let trace: Vec<(SimTime, u64)> = trace
+            .samples
+            .iter()
+            .map(|(t, v)| (t, v.to_bits()))
+            .collect();
+        assert_eq!(trace.len(), report.samples.len());
+        (energy, e.samples(), counted, trace)
     };
-    let (mah_a, samples_a) = run();
-    let (mah_b, samples_b) = run();
-    assert_eq!(mah_a.to_bits(), mah_b.to_bits());
-    assert_eq!(samples_a, samples_b);
+    let (energy_a, len_a, counted_a, trace_a) = run();
+    let (energy_b, len_b, counted_b, trace_b) = run();
+    assert_eq!(energy_a, energy_b);
+    assert_eq!(len_a, len_b);
+    assert_eq!(counted_a, counted_b);
+    assert_eq!(trace_a, trace_b);
 }
 
 /// Battery accounting: on battery power the pack drains by exactly the

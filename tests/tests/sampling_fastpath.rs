@@ -12,6 +12,8 @@
 use batterylab::device::boot_j7_duo;
 use batterylab::power::{Calibration, Monsoon, MonsoonError, SampleRun, TraceLoad};
 use batterylab::sim::{SimDuration, SimRng, SimTime, StepSignal};
+use batterylab::stats::{Cdf, EnergyAccumulator, SampleCounts};
+use batterylab::telemetry::Registry;
 use proptest::prelude::*;
 
 fn powered(seed: u64, cal: Calibration) -> Monsoon {
@@ -48,23 +50,36 @@ fn assert_runs_bit_identical(fast: &SampleRun, reference: &SampleRun) {
     for (a, b) in fast.samples.values().iter().zip(reference.samples.values()) {
         assert_eq!(a.to_bits(), b.to_bits(), "sample mismatch: {a} vs {b}");
     }
-    assert_eq!(fast.energy.samples(), reference.energy.samples());
+    assert_energy_bit_identical(&fast.energy, &reference.energy);
+}
+
+fn assert_energy_bit_identical(a: &EnergyAccumulator, b: &EnergyAccumulator) {
+    assert_eq!(a.samples(), b.samples());
+    assert_eq!(a.mah().to_bits(), b.mah().to_bits());
+    assert_eq!(a.mwh().to_bits(), b.mwh().to_bits());
+    assert_eq!(a.min_ma().to_bits(), b.min_ma().to_bits());
+    assert_eq!(a.max_ma().to_bits(), b.max_ma().to_bits());
+}
+
+/// A counting run holds exactly the distribution of the reference trace,
+/// with bit-identical aggregates.
+fn assert_counts_match_trace(counted: &SampleRun<SampleCounts>, reference: &SampleRun) {
+    let runs =
+        |cdf: Cdf| -> Vec<(u64, u64)> { cdf.counts().map(|(v, n)| (v.to_bits(), n)).collect() };
+    assert_eq!(counted.samples.len(), reference.samples.len());
     assert_eq!(
-        fast.energy.mah().to_bits(),
-        reference.energy.mah().to_bits()
+        runs(counted.samples.cdf()),
+        runs(Cdf::from_samples(reference.samples.values()))
     );
-    assert_eq!(
-        fast.energy.mwh().to_bits(),
-        reference.energy.mwh().to_bits()
-    );
-    assert_eq!(
-        fast.energy.min_ma().to_bits(),
-        reference.energy.min_ma().to_bits()
-    );
-    assert_eq!(
-        fast.energy.max_ma().to_bits(),
-        reference.energy.max_ma().to_bits()
-    );
+    assert_energy_bit_identical(&counted.energy, &reference.energy);
+    assert_eq!(counted.voltage_v.to_bits(), reference.voltage_v.to_bits());
+}
+
+/// `(meter, registry)` with the meter reporting into the registry.
+fn observed(seed: u64) -> (Monsoon, Registry) {
+    let registry = Registry::new();
+    let meter = powered(seed, Calibration::default()).with_telemetry(&registry);
+    (meter, registry)
 }
 
 proptest! {
@@ -116,6 +131,34 @@ proptest! {
         prop_assert!(distinct.len() > 3, "noise missing: {} distinct readings", distinct.len());
     }
 
+    /// The counting run is the same sampling pass with a counting sink:
+    /// its distribution, aggregates and telemetry are the reference
+    /// trace's, bit for bit.
+    #[test]
+    fn counting_run_matches_reference_bit_for_bit(
+        seed in 0u64..1000,
+        initial in 50.0f64..1500.0,
+        steps in proptest::collection::vec((1u64..40_000, 0.0f64..1500.0), 0..12),
+        rate_pick in 0usize..3,
+    ) {
+        let rate = [5000.0f64, 1000.0, 137.0][rate_pick];
+        let load = TraceLoad::new(trace_from_steps(initial, &steps), 4.0);
+        let (mut counting, counted_registry) = observed(seed);
+        let counted = counting
+            .sample_counts_at_rate(&load, SimTime::ZERO, 0.2, rate)
+            .unwrap();
+        let (mut reference_meter, reference_registry) = observed(seed);
+        let reference = reference_meter
+            .sample_run_reference_at_rate(&load, SimTime::ZERO, 0.2, rate)
+            .unwrap();
+        assert_counts_match_trace(&counted, &reference);
+        prop_assert_eq!(counting.total_samples(), reference_meter.total_samples());
+        prop_assert_eq!(
+            counted_registry.snapshot().to_json(),
+            reference_registry.snapshot().to_json()
+        );
+    }
+
     /// A monotone cursor walk over a random trace reads exactly what
     /// binary-searched `at()` reads, at every sample instant.
     #[test]
@@ -154,6 +197,12 @@ fn over_current_trip_is_path_invariant() {
         .unwrap_err();
 
     assert_eq!(fast, reference);
+    let mut counting_meter = powered(77, Calibration::default());
+    let counting = counting_meter
+        .sample_counts_at_rate(&load, SimTime::ZERO, 0.2, 5000.0)
+        .unwrap_err();
+    assert_eq!(counting, reference);
+    assert_eq!(counting_meter.total_samples(), ref_meter.total_samples());
     let MonsoonError::OverCurrent { at, current_ma } = fast else {
         panic!("expected an over-current trip, got {fast:?}");
     };
@@ -184,4 +233,26 @@ fn device_chain_is_bit_identical_across_paths() {
         .unwrap();
     assert_runs_bit_identical(&fast, &reference);
     assert_eq!(fast.samples.len(), 15_000);
+}
+
+/// The device chain through the counting run, long enough that the
+/// counting sink folds several times: the same distribution and
+/// aggregates as the per-sample reference trace.
+#[test]
+fn device_chain_counting_run_matches_reference() {
+    let rng = SimRng::new(4243);
+    let device = boot_j7_duo(&rng, "fastpath-dev");
+    device.with_sim(|s| {
+        s.set_screen(true);
+        s.play_video(SimDuration::from_secs(20));
+        s.run_activity(SimDuration::from_secs(10), 0.4, 0.6);
+    });
+    let counted = powered(4243, Calibration::default())
+        .sample_counts_at_rate(&device, SimTime::ZERO, 30.0, 5000.0)
+        .unwrap();
+    let reference = powered(4243, Calibration::default())
+        .sample_run_reference_at_rate(&device, SimTime::ZERO, 30.0, 5000.0)
+        .unwrap();
+    assert_counts_match_trace(&counted, &reference);
+    assert_eq!(counted.samples.len(), 150_000);
 }
